@@ -33,8 +33,9 @@ module M : Strategy.S = struct
 
   let adopt t head =
     t.head <- head;
-    t.view <- Window_view.Cache.view t.ctx.views ~head;
-    Buffer_f.refresh t.buffer ~store:t.ctx.store ~view:t.view
+    let view = Window_view.Cache.view t.ctx.views ~head in
+    Buffer_f.switch t.buffer ~store:t.ctx.store ~from_view:t.view ~to_view:view;
+    t.view <- view
 
   let learn_fruits t (msgs : Message.t list) =
     List.iter

@@ -86,8 +86,9 @@ module Make (P : PARAMS) : Strategy.S = struct
   let move_priv t head =
     t.priv <- head;
     if t.ctx.config.Config.protocol = Config.Fruitchain then begin
-      t.view <- Window_view.Cache.view t.ctx.views ~head;
-      Buffer_f.refresh t.buffer ~store:t.ctx.store ~view:t.view
+      let view = Window_view.Cache.view t.ctx.views ~head in
+      Buffer_f.switch t.buffer ~store:t.ctx.store ~from_view:t.view ~to_view:view;
+      t.view <- view
     end
 
   let adopt_public t ~round =

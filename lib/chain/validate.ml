@@ -5,15 +5,19 @@ module Merkle = Fruitchain_crypto.Merkle
 
 let fruit_set_digest fruits = Merkle.root (List.map Codec.fruit_bytes fruits)
 
+(* The memo-less sampling oracle accepts every pre-image, so the header is
+   serialized only for an oracle that reads it. *)
+let verify_header oracle header claimed =
+  (not (Oracle.needs_input oracle)) || Oracle.verify oracle (Codec.header_bytes header) claimed
+
 let valid_fruit oracle f =
-  Oracle.verify oracle (Codec.header_bytes f.f_header) f.f_hash
-  && Oracle.mined_fruit oracle f.f_hash
+  verify_header oracle f.f_header f.f_hash && Oracle.mined_fruit oracle f.f_hash
 
 let valid_block oracle b =
   block_equal b genesis
   || Hash.equal b.b_header.digest (fruit_set_digest b.fruits)
      && List.for_all (valid_fruit oracle) b.fruits
-     && Oracle.verify oracle (Codec.header_bytes b.b_header) b.b_hash
+     && verify_header oracle b.b_header b.b_hash
      && Oracle.mined_block oracle b.b_hash
 
 type chain_error =

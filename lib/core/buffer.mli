@@ -9,11 +9,13 @@
     mechanism by which FruitChain neutralizes block-erasing attacks.
 
     The buffer maintains the candidate set (recent ∧ not recorded)
-    incrementally: candidates are refreshed from the whole buffer only when
-    the owner's chain head moves, and single fruits are classified on
-    arrival; between head moves, mining reads a cached, canonically sorted
-    candidate list. Fruits whose hang point has dropped below the recency
-    window can never be recorded again and are pruned. *)
+    incrementally. Single fruits are classified on arrival. When the
+    owner's head moves, only fruits hanging from or recorded in the blocks
+    that entered or left the recency window are reclassified: {!advance}
+    for a one-block extension, {!switch} for any other move (reorgs,
+    long extensions). Between head moves, mining reads a cached,
+    canonically sorted candidate list. Fruits whose hang point has dropped
+    below the recency window can never be recorded again and are pruned. *)
 
 open Fruitchain_chain
 module Hash = Fruitchain_crypto.Hash
@@ -33,8 +35,21 @@ val add : t -> view:Window_view.t -> Types.fruit -> unit
 (** Insert a fruit (idempotent) and classify it against the current view. *)
 
 val refresh : t -> store:Store.t -> view:Window_view.t -> unit
-(** Re-classify the whole buffer — the reorg path. Prunes fruits with stale
-    hang points. O(buffer size). *)
+(** Re-classify the whole buffer against [view] and prune every fruit whose
+    hang point is a stored block below the window. O(buffer size). This is
+    the reference {!switch} reproduces exactly; the simulator's head moves
+    all go through {!advance} or {!switch}. *)
+
+val switch : t -> store:Store.t -> from_view:Window_view.t -> to_view:Window_view.t -> unit
+(** Move the buffer from [from_view] — the view it was last classified
+    against by {!add}, {!advance}, {!refresh} or {!switch} — to [to_view],
+    for any two stored heads. Leaves the same candidates and the same
+    retained fruits as [refresh ~view:to_view], but reclassifies only the
+    fruits hanging from or recorded in the symmetric difference of the two
+    windows (the abandoned branch, the adopted branch, the blocks between
+    the two window bottoms), and prunes through an index of hang points by
+    store height. Costs O(fork depth + window) parent steps plus the
+    affected fruits, not O(buffer). *)
 
 val advance : t -> view:Window_view.t -> block:Types.block -> unit
 (** Incremental update for the common case: the owner's chain grew by

@@ -47,8 +47,9 @@ let recency t =
 
 (* Adopting a head that extends the current chain walks the extension
    block-by-block so the buffer can update incrementally; a genuine reorg
-   (or an extension deeper than the recency window) falls back to a full
-   buffer rescan. *)
+   (or an extension deeper than the recency window) hands the buffer both
+   windows, and it reclassifies only the fruits of the blocks that differ
+   between them. *)
 let adopt t new_id =
   let bound = Params.recency_window t.params in
   let rec path_to acc i steps =
@@ -66,8 +67,8 @@ let adopt t new_id =
         blocks
   | None ->
       let view = Window_view.Cache.view t.views ~head:(Store.hash_at t.store new_id) in
-      t.view <- view;
-      Buffer.refresh t.buffer ~store:t.store ~view);
+      Buffer.switch t.buffer ~store:t.store ~from_view:t.view ~to_view:view;
+      t.view <- view);
   t.head_id <- new_id
 
 (* Insert announced blocks parent-first; any invalid block invalidates the
@@ -78,7 +79,9 @@ let adopt t new_id =
 let receive t oracle (msg : Message.t) =
   match msg.payload with
   | Message.Fruit_announce f ->
-      if Validate.valid_fruit oracle f && not (Buffer.mem t.buffer f.f_hash) then begin
+      (* Both tests are pure; the cheap one first spares re-validating
+         every gossiped duplicate. *)
+      if (not (Buffer.mem t.buffer f.f_hash)) && Validate.valid_fruit oracle f then begin
         Buffer.add t.buffer ~view:t.view f;
         if t.gossip then
           t.pending_relays <-

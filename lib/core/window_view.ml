@@ -109,6 +109,7 @@ let of_chain ~window ~store ~head =
 
 let is_recent view ~pointer = Hmap.mem pointer view.hangs
 let is_included view ~fruit = Hmap.mem fruit view.included
+let bottom view = view.height - (Span.length view.span - 1)
 
 let stale_pointer ~store view ~pointer =
   (* A pointer is stale when the block it names sits strictly below the
@@ -116,9 +117,9 @@ let stale_pointer ~store view ~pointer =
      again. *)
   (not (is_recent view ~pointer))
   &&
-  match Store.find store pointer with
+  match Store.find_id store pointer with
   | None -> false
-  | Some b -> Store.height store b.Types.b_hash < view.height - (Span.length view.span - 1)
+  | Some i -> Store.height_at store i < bottom view
 
 module Cache = struct
   type view = t

@@ -22,6 +22,10 @@ val genesis : t
 val head : t -> Hash.t
 val height : t -> int
 
+val bottom : t -> int
+(** Height of the oldest block in the window. The window holds exactly the
+    blocks of the chain at heights [bottom .. height]. *)
+
 val expired : t -> Hash.t option
 (** When this view was produced by {!extend}, the reference of the block
     that fell out of the window in that step (if any). [None] for rebuilt

@@ -113,6 +113,142 @@ let qcheck_buffer_advance_equals_refresh =
       in
       hashes incremental = hashes reference)
 
+(* [Buffer.switch] against the [Buffer.refresh] rescan it replaces, after
+   every head move of a random walk over a random block tree. Moves are
+   one-block extensions, depth-1 sibling switches, reorgs deeper than the
+   window, extensions longer than it, and jumps to any stored block (which
+   may lower the window). Fruits arrive at any time, hanging from the
+   window, from below it, from other branches, or from blocks the store
+   does not know yet. In [node_like] mode both buffers take short
+   extensions through [advance], as [Node.adopt] does, and the twins differ
+   only on the other moves. *)
+type head_move = Extend | Sibling | Deep_reorg | Long_extend | Anywhere
+
+let qcheck_buffer_switch_equals_refresh =
+  QCheck.Test.make ~name:"buffer: switch == refresh under random head moves" ~count:150
+    QCheck.(quad (int_bound 100_000) (int_range 1 5) bool bool)
+    (fun (seed, window, enforce_recency, node_like) ->
+      let rng = Rng.of_seed (Int64.of_int seed) in
+      let store = Store.create () in
+      let views = Window_view.Cache.create ~window ~store in
+      let incremental = Buffer_f.create ~enforce_recency () in
+      let reference = Buffer_f.create ~enforce_recency () in
+      let stored = ref [ Types.genesis ] in
+      let pending = ref [] in
+      let offered = ref [] in
+      let head = ref Types.genesis in
+      let view = ref (Window_view.Cache.view views ~head:Types.genesis_hash) in
+      let pick l = List.nth l (Rng.int rng (List.length l)) in
+      let height (b : Types.block) = Store.height store b.b_hash in
+      let ancestor ~depth =
+        let height = max 0 (height !head - depth) in
+        Option.value ~default:Types.genesis
+          (Store.ancestor_at_height store ~head:!head.b_hash ~height)
+      in
+      let offer (f : Types.fruit) =
+        if not (List.exists (fun (g : Types.fruit) -> Hash.equal g.f_hash f.f_hash) !offered)
+        then offered := f :: !offered;
+        Buffer_f.add incremental ~view:!view f;
+        Buffer_f.add reference ~view:!view f
+      in
+      let fresh_fruit () =
+        let pointer =
+          match Rng.int rng 6 with
+          | 0 | 1 | 2 -> (ancestor ~depth:(Rng.int rng (window + 2))).b_hash
+          | 3 -> (pick !stored).b_hash
+          | 4 ->
+              (* A block built but not yet stored: the pointer resolves later. *)
+              let b = mine_block rng ~parent:(pick !stored).b_hash [] in
+              pending := b :: !pending;
+              b.b_hash
+          | _ -> Hash.of_raw (Fruitchain_crypto.Sha256.digest (Int64.to_string (Rng.bits64 rng)))
+        in
+        mine_fruit rng ~pointer ~record:"f"
+      in
+      (* A stored block's fruits are learned, as a node learns them. *)
+      let store_block (b : Types.block) =
+        Store.add store b;
+        stored := b :: !stored;
+        List.iter offer b.fruits
+      in
+      (* A block recording some offered fruits (possibly recorded on other
+         branches too) and sometimes a fresh one. *)
+      let mint ~parent =
+        let old = List.filter (fun _ -> Rng.bernoulli rng 0.2) !offered in
+        let fruits = if Rng.bool rng then fresh_fruit () :: old else old in
+        let b = mine_block rng ~parent:parent.Types.b_hash fruits in
+        store_block b;
+        b
+      in
+      let rec branch ~from n = if n = 0 then from else branch ~from:(mint ~parent:from) (n - 1) in
+      (* The blocks from the current head (exclusive) to [target], if
+         [target] extends it by at most [window] blocks. *)
+      let path_to (target : Types.block) =
+        let rec go acc (b : Types.block) steps =
+          if Hash.equal b.b_hash !head.b_hash then Some acc
+          else if steps = 0 || Hash.equal b.b_hash Types.genesis_hash then None
+          else go (b :: acc) (Store.find_exn store b.b_header.parent) (steps - 1)
+        in
+        go [] target window
+      in
+      let move (target : Types.block) =
+        (match path_to target with
+        | Some blocks when node_like ->
+            List.iter
+              (fun (b : Types.block) ->
+                let v = Window_view.Cache.view views ~head:b.b_hash in
+                Buffer_f.advance incremental ~view:v ~block:b;
+                Buffer_f.advance reference ~view:v ~block:b)
+              blocks
+        | _ ->
+            let v = Window_view.Cache.view views ~head:target.b_hash in
+            Buffer_f.switch incremental ~store ~from_view:!view ~to_view:v;
+            Buffer_f.refresh reference ~store ~view:v);
+        head := target;
+        view := Window_view.Cache.view views ~head:target.b_hash
+      in
+      let agree () =
+        let hashes buf = List.map (fun (f : Types.fruit) -> f.f_hash) (Buffer_f.candidates buf) in
+        List.equal Hash.equal (hashes incremental) (hashes reference)
+        && Buffer_f.size incremental = Buffer_f.size reference
+        && List.for_all
+             (fun (f : Types.fruit) ->
+               Buffer_f.mem incremental f.f_hash = Buffer_f.mem reference f.f_hash)
+             !offered
+      in
+      let rec steps n =
+        n = 0
+        ||
+        let r = Rng.int rng 10 in
+        if r < 3 then List.iter offer (List.init (1 + Rng.int rng 3) (fun _ -> fresh_fruit ()))
+        else if r < 4 then (
+          match !pending with
+          | [] -> ()
+          | b :: rest ->
+              pending := rest;
+              store_block b)
+        else if r < 5 then begin
+          (* A rescan in place must leave [switch] a usable index. *)
+          Buffer_f.refresh incremental ~store ~view:!view;
+          Buffer_f.refresh reference ~store ~view:!view
+        end
+        else begin
+          let target =
+            match pick [ Extend; Sibling; Deep_reorg; Long_extend; Anywhere ] with
+            | Extend -> mint ~parent:!head
+            | Sibling -> mint ~parent:(ancestor ~depth:1)
+            | Deep_reorg ->
+                let fork = ancestor ~depth:(window + 1 + Rng.int rng 3) in
+                branch ~from:fork (height !head - height fork + Rng.int rng 2)
+            | Long_extend -> branch ~from:!head (window + 1 + Rng.int rng 3)
+            | Anywhere -> pick !stored
+          in
+          move target
+        end;
+        agree () && steps (n - 1)
+      in
+      steps 40)
+
 let qcheck_window_view_scan_equals_extend =
   QCheck.Test.make ~name:"window view: of_chain == extend chain" ~count:40
     QCheck.(pair (int_bound 1000) (int_range 1 6))
@@ -399,6 +535,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             qcheck_buffer_advance_equals_refresh;
+            qcheck_buffer_switch_equals_refresh;
             qcheck_window_view_scan_equals_extend;
             qcheck_snapshot_roundtrip;
             qcheck_extract_dedup_invariants;
