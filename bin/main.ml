@@ -188,7 +188,8 @@ let sim_cmd =
       & info [ "engine" ]
           ~doc:
             "Simulation plane: $(b,exact) (reference, per-party-per-query) or $(b,sparse) \
-             (aggregate win sampling; the adversary strategy is ignored).")
+             (aggregate win sampling). The sparse plane models only the honest coalition, \
+             so with $(b,--rho) > 0 it requires $(b,--adversary) honest.")
   in
   let rho = Arg.(value & opt float 0.25 & info [ "rho" ] ~doc:"Corrupt power fraction.") in
   let gamma = Arg.(value & opt float 0.5 & info [ "gamma" ] ~doc:"Selfish-mining tie parameter.") in
@@ -213,6 +214,13 @@ let sim_cmd =
           ~docv:"FILE" ~doc:"Persist the canonical honest chain to $(docv) (see $(b,inspect)).")
   in
   let run protocol engine rho gamma n rounds delta seed p q kappa strategy save_chain obs =
+    (match (engine, strategy) with
+    | Config.Sparse, (`Selfish | `Null) when rho > 0.0 ->
+        prerr_endline
+          "sim: --engine sparse runs only the honest coalition; with --rho > 0 pass \
+           --adversary honest or use --engine exact";
+        exit 2
+    | _ -> ());
     with_observability obs @@ fun () ->
     let params = Params.make ~p ~pf:(p *. q) ~kappa () in
     let config =

@@ -1,6 +1,5 @@
 open Fruitchain_chain
 module Rng = Fruitchain_util.Rng
-module Pool = Fruitchain_util.Pool
 module Oracle = Fruitchain_crypto.Oracle
 module Network = Fruitchain_net.Network
 module Message = Fruitchain_net.Message
@@ -37,10 +36,6 @@ let events_of_messages ~round ~miner msgs =
           Some { Trace.round; miner; honest = true; kind = `Block; hash = b.Types.b_hash }
       | Message.Chain_announce _ -> None)
     msgs
-
-let protocol_name = function
-  | Config.Nakamoto -> "nakamoto"
-  | Config.Fruitchain -> "fruitchain"
 
 (* Reorg depths: a switch of depth d means the party abandoned the last d
    blocks of its previous chain. Depth 1 (sibling tip) dominates under
@@ -100,263 +95,85 @@ let watch_heads ~scope ~lifecycle ~store ~round ~parties ~prev_head ~prev_height
           end)
     parties
 
-(* End-of-run harvest: the hot paths (oracle queries, message delivery)
-   keep native int counters; this folds them into the scope's registry
-   exactly once, so instrumentation costs O(1) per run there. *)
-let harvest ~scope ~config ~trace ~network ~oracle ~final_height =
-  match Scope.metrics scope with
-  | None -> ()
-  | Some m ->
-      let add name by = Metrics.incr ~by (Metrics.counter m name) in
-      add "sim.runs" 1;
-      add "sim.rounds" config.Config.rounds;
-      add "sim.probes" (Trace.probe_count trace);
-      add "oracle.queries" (Oracle.queries oracle);
-      add "oracle.wins.block" (Oracle.block_wins oracle);
-      add "oracle.wins.fruit" (Oracle.fruit_wins oracle);
-      add "net.sent" (Network.sent network);
-      add "net.delivered" (Network.delivered network);
-      let fh = ref 0 and fa = ref 0 and bh = ref 0 and ba = ref 0 in
-      Trace.iter_events trace ~f:(fun (e : Trace.event) ->
-          match (e.kind, e.honest) with
-          | `Fruit, true -> incr fh
-          | `Fruit, false -> incr fa
-          | `Block, true -> incr bh
-          | `Block, false -> incr ba);
-      add "sim.mint.fruit.honest" !fh;
-      add "sim.mint.fruit.adversary" !fa;
-      add "sim.mint.block.honest" !bh;
-      add "sim.mint.block.adversary" !ba;
-      Metrics.set (Metrics.gauge m "sim.final_height") (float_of_int final_height)
-
-let run_with_oracle ~config ~strategy ~oracle ?(workload = fun ~round:_ ~party:_ -> "")
-    ?net_policy ?round_hook ?scope () =
-  let scope = match scope with Some s -> s | None -> Pool.current_scope () in
+let run_with_oracle ~config ~strategy ~oracle ?workload ?net_policy ?round_hook ?scope () =
+  Rounds.run ~config ?workload ?net_policy ?round_hook ?scope
+  @@ fun { Rounds.scope; store; network; trace; lifecycle; workload; record; _ } ->
+  let n = config.Config.n in
   let master = Rng.of_seed config.Config.seed in
-  let store = Store.create () in
   let window = Params.recency_window config.Config.params in
   let views = Window_view.Cache.create ~window ~store in
-  let network =
-    Network.create ~scope ?policy:net_policy ~n:config.Config.n
-      ~delta:config.Config.delta ()
-  in
-  let trace = Trace.create ~scope ~config ~store () in
   let net_rng = Rng.split master in
-  let parties =
-    Array.init config.Config.n (fun i ->
-        if Config.is_corrupt config i then Corrupt
-        else
-          let rng = Rng.split master in
-          match config.Config.protocol with
-          | Config.Nakamoto -> Nak (Nak_node.create ~id:i ~store ~rng)
-          | Config.Fruitchain ->
-              Fruit
-                (Fruit_node.create ~gossip:config.Config.gossip ~id:i
-                   ~params:config.Config.params ~store ~views ~rng ()))
+  (* Current relay setting: gossip toggles flip it for every live fruit
+     node, and nodes respawned by uncorruption inherit it. *)
+  let gossip_now = ref config.Config.gossip in
+  let spawn id =
+    let rng = Rng.split master in
+    match config.Config.protocol with
+    | Config.Nakamoto -> Nak (Nak_node.create ~id ~store ~rng)
+    | Config.Fruitchain ->
+        Fruit
+          (Fruit_node.create ~gossip:!gossip_now ~id ~params:config.Config.params ~store
+             ~views ~rng ())
   in
+  let parties = Array.init n (fun i -> if Config.is_corrupt config i then Corrupt else spawn i) in
   let ctx =
-    {
-      Strategy.config;
-      store;
-      views;
-      oracle;
-      network;
-      rng = Rng.split master;
-      trace;
-      workload;
-    }
+    { Strategy.config; store; views; oracle; network; rng = Rng.split master; trace; workload }
   in
   let strat = Strategy.instantiate strategy ctx in
-  let lifecycle = Lifecycle.create ~scope ~store ~config () in
-  if Scope.tracing scope then
-    Scope.emit scope "run.start"
-      [
-        ("protocol", Json.Str (protocol_name config.Config.protocol));
-        ("n", Json.Int config.Config.n);
-        ("rounds", Json.Int config.Config.rounds);
-        ("delta", Json.Int config.Config.delta);
-        ("kappa", Json.Int config.Config.params.Params.kappa);
-        ("recency", Json.Int (Params.recency_window config.Config.params));
-        ("seed", Json.Str (Int64.to_string config.Config.seed));
-      ];
   let observing = Scope.enabled scope in
-  let prev_head = Array.make config.Config.n Store.genesis_id in
-  let prev_height = Array.make config.Config.n 0 in
-  let prev_change = Array.make config.Config.n 0 in
-  (* Liveness probes model a submitted transaction: from its injection round
-     until the next probe replaces it, every honest party keeps offering the
-     probe record to its mining attempts (the mempool behaviour the liveness
-     definition quantifies over — the record is input to honest players from
-     round r' on). Explicit workload records take precedence. *)
-  let active_probe = ref None in
-  let probe_round round =
-    config.Config.probe_interval > 0 && round mod config.Config.probe_interval = 0
-  in
-  (* Current relay setting: gossip_toggle events flip it for every live
-     fruit node, and nodes respawned by uncorruption inherit it. *)
-  let gossip_now = ref config.Config.gossip in
-  for round = 0 to config.Config.rounds - 1 do
-    (* Scenario driver hook (fruitstorm): applied before the round's three
-       phases so fault windows opening at [round] already govern it. *)
-    (match round_hook with None -> () | Some hook -> hook ~scope ~round);
-    (* Scheduled gossip toggles (scenario sugar; no-op for Nakamoto). *)
-    List.iter
-      (fun (r, on) ->
-        if r = round then begin
-          gossip_now := on;
-          Array.iter
-            (fun p -> match p with Fruit node -> Fruit_node.set_gossip node on | _ -> ())
-            parties;
-          if Scope.tracing scope then
-            Scope.emit scope "scenario.gossip"
-              [ ("round", Json.Int round); ("on", Json.Bool on) ]
-        end)
-      config.Config.gossip_schedule;
-    (* Adaptive corruption: Z hands the party to A at its scheduled round;
-       the node stops acting (its state is the adversary's to use) and its
-       query moves into the adversary's budget (Strategy.q_at). *)
-    List.iter
-      (fun (r, party) ->
-        if r = round then begin
-          parties.(party) <- Corrupt;
-          if Scope.tracing scope then
-            Scope.emit scope "corrupt"
-              [ ("round", Json.Int round); ("party", Json.Int party) ]
-        end)
-      config.Config.corruption_schedule;
-    (* Uncorruption: the released party re-spawns as a freshly initialized
-       honest node (the paper treats it exactly like a new player). *)
-    List.iter
-      (fun (r, party) ->
-        if r = round then begin
-          let rng = Rng.split master in
-          parties.(party) <-
-            (match config.Config.protocol with
-            | Config.Nakamoto -> Nak (Nak_node.create ~id:party ~store ~rng)
-            | Config.Fruitchain ->
-                Fruit
-                  (Fruit_node.create ~gossip:!gossip_now ~id:party
-                     ~params:config.Config.params ~store ~views ~rng ()));
-          if Scope.tracing scope then
-            Scope.emit scope "uncorrupt"
-              [ ("round", Json.Int round); ("party", Json.Int party) ]
-        end)
-      config.Config.uncorruption_schedule;
-    if probe_round round then begin
-      let probe = Printf.sprintf "probe/%d" round in
-      Trace.record_probe trace ~record:probe ~round;
-      active_probe := Some probe
-    end;
+  let prev_head = Array.make n Store.genesis_id in
+  let prev_height = Array.make n 0 in
+  let prev_change = Array.make n 0 in
+  let step round =
     let broadcasts = ref [] in
-    for i = 0 to config.Config.n - 1 do
+    let publish i out =
+      List.iter (Trace.record_event trace) (events_of_messages ~round ~miner:i out);
+      (match lifecycle with Some lc -> Lifecycle.on_outgoing lc out | None -> ());
+      List.iter
+        (fun msg ->
+          broadcasts := msg :: !broadcasts;
+          Network.broadcast network ~now:round
+            ~schedule:(fun ~recipient -> Strategy.schedule_honest strat msg ~recipient)
+            ~rng:net_rng msg)
+        out
+    in
+    for i = 0 to n - 1 do
       let incoming = Network.drain network ~round ~recipient:i in
-      (match lifecycle with
-      | Some lc -> Lifecycle.on_incoming lc ~round incoming
-      | None -> ());
+      (match lifecycle with Some lc -> Lifecycle.on_incoming lc ~round incoming | None -> ());
       match parties.(i) with
       | Corrupt -> () (* the adversary observes everything at send time *)
-      | (Nak _ | Fruit _) as p ->
-          let record =
-            let base = workload ~round ~party:i in
-            if String.length base = 0 then Option.value ~default:"" !active_probe else base
-          in
-          let out =
-            match p with
-            | Nak node -> Nak_node.step node oracle ~round ~record ~incoming
-            | Fruit node -> Fruit_node.step node oracle ~round ~record ~incoming
-            | Corrupt -> assert false
-          in
-          List.iter (Trace.record_event trace) (events_of_messages ~round ~miner:i out);
-          (match lifecycle with
-          | Some lc -> Lifecycle.on_outgoing lc out
-          | None -> ());
-          List.iter
-            (fun msg ->
-              broadcasts := msg :: !broadcasts;
-              Network.broadcast network ~now:round
-                ~schedule:(fun ~recipient -> Strategy.schedule_honest strat msg ~recipient)
-                ~rng:net_rng msg)
-            out
+      | Nak node ->
+          publish i (Nak_node.step node oracle ~round ~record:(record ~round ~party:i) ~incoming)
+      | Fruit node ->
+          publish i
+            (Fruit_node.step node oracle ~round ~record:(record ~round ~party:i) ~incoming)
     done;
     Strategy.act strat ~round ~honest_broadcasts:(List.rev !broadcasts);
     if observing then
       watch_heads ~scope ~lifecycle ~store ~round ~parties ~prev_head ~prev_height
-        ~prev_change;
-    if round mod config.Config.snapshot_interval = 0 then begin
-      let heights =
-        Array.map
-          (fun p ->
-            match head_of p with Some h -> Store.height_at store h | None -> -1)
-          parties
-      in
-      Trace.record_heights trace ~round heights;
-      if Scope.tracing scope then begin
-        let mn = ref max_int and mx = ref (-1) in
-        Array.iter
-          (fun h ->
-            if h >= 0 then begin
-              if h < !mn then mn := h;
-              if h > !mx then mx := h
-            end)
-          heights;
-        if !mx >= 0 then
-          Scope.emit scope "heights"
-            [
-              ("round", Json.Int round);
-              ("min", Json.Int !mn);
-              ("max", Json.Int !mx);
-            ];
-        Scope.emit scope "net"
-          [
-            ("round", Json.Int round);
-            ("sent", Json.Int (Network.sent network));
-            ("delivered", Json.Int (Network.delivered network));
-            ("pending", Json.Int (Network.pending network));
-          ]
-      end
-    end;
-    if round mod config.Config.head_snapshot_interval = 0 then begin
-      let heads =
-        Array.map
-          (fun p ->
-            match head_of p with
-            | Some h -> Store.hash_at store h
-            | None -> Types.genesis.b_hash)
-          parties
-      in
-      Trace.record_heads trace ~round heads
-    end
-  done;
-  let final_heads =
-    Array.map
-      (fun p ->
-        match head_of p with
-        | Some h -> Store.hash_at store h
-        | None -> Types.genesis.b_hash)
-      parties
+        ~prev_change
   in
-  Trace.set_final_heads trace final_heads;
-  Trace.set_oracle_queries trace (Oracle.queries oracle);
-  if observing then begin
-    let final_height =
-      match Trace.honest_parties trace with
-      | [] -> -1
-      | i :: _ -> Store.height store final_heads.(i)
-    in
-    harvest ~scope ~config ~trace ~network ~oracle ~final_height;
-    (match lifecycle with
-    | Some lc -> Lifecycle.finalize lc ~trace
-    | None -> ());
-    if Scope.tracing scope then
-      Scope.emit scope "run.end"
-        [
-          ("rounds", Json.Int config.Config.rounds);
-          ("final_height", Json.Int final_height);
-          ("events", Json.Int (Trace.event_count trace));
-          ("queries", Json.Int (Oracle.queries oracle));
-        ]
-  end;
-  trace
+  {
+    Rounds.engine = "exact";
+    oracle;
+    step;
+    next = (fun r -> r + 1);
+    head = (fun ~round:_ i -> head_of parties.(i));
+    (* Adaptive corruption: Z hands the party to A; the node stops acting
+       (its state is the adversary's to use) and its query moves into the
+       adversary's budget (Strategy.q_at). *)
+    corrupt = (fun i -> parties.(i) <- Corrupt);
+    (* Uncorruption: the released party re-spawns as a freshly initialized
+       honest node (the paper treats it exactly like a new player). *)
+    uncorrupt = (fun i -> parties.(i) <- spawn i);
+    gossip =
+      (fun on ->
+        gossip_now := on;
+        Array.iter
+          (function Fruit node -> Fruit_node.set_gossip node on | Nak _ | Corrupt -> ())
+          parties);
+    harvest = ignore;
+  }
 
 let run ~config ~strategy ?workload ?net_policy ?round_hook ?scope () =
   match config.Config.engine with

@@ -1,11 +1,15 @@
-(** The round engine: EXEC_Π(A, Z, κ) of §2.1.
+(** The exact plane: EXEC_Π(A, Z, κ) of §2.1, one oracle query per party
+    per round.
 
-    Each round, in order: (1) every honest party drains its inbox, receives
-    its record from the environment, takes its single mining step and hands
+    The round loop, schedules, probes, snapshots and harvest belong to the
+    shared driver ({!Rounds.run}); this plane supplies its win scheduler.
+    Each round: (1) every honest party drains its inbox, receives its
+    record from the environment, takes its single mining step and hands
     its broadcasts to the network under the adversary's delivery schedule;
     (2) the adversary acts with its [q]-query budget, having seen the
-    round's honest broadcasts (rushing); (3) the engine takes the configured
-    measurements. Everything is driven by one master seed. *)
+    round's honest broadcasts (rushing); (3) with a scope attached, every
+    head change is classified as an extension or a reorg. Everything is
+    driven by one master seed. *)
 
 module Rng = Fruitchain_util.Rng
 module Oracle = Fruitchain_crypto.Oracle
@@ -20,8 +24,8 @@ val run :
   ?round_hook:(scope:Fruitchain_obs.Scope.t -> round:int -> unit) ->
   ?scope:Fruitchain_obs.Scope.t -> unit -> Trace.t
 (** Runs the execution to completion and returns the trace, dispatching on
-    [config.engine]: [Exact] (default) runs the per-party-per-query round
-    loop below; [Sparse] hands the whole run to {!Sparse.run}, which
+    [config.engine]: [Exact] (default) runs the per-party-per-query plane
+    above; [Sparse] hands the whole run to {!Sparse.run}, which
     simulates the same mining process by aggregate sampling (the strategy
     module is then ignored — the sparse plane is honest-coalition by
     construction). On the exact plane the oracle is the sampling backend

@@ -28,8 +28,6 @@ module Network = Fruitchain_net.Network
 
 val run :
   config:Config.t ->
-  ?power:int array ->
-  ?power_schedule:(int * int array) list ->
   ?workload:Strategy.workload ->
   ?net_policy:Network.policy ->
   ?round_hook:(scope:Scope.t -> round:int -> unit) ->
@@ -37,13 +35,9 @@ val run :
   ?scope:Scope.t ->
   unit ->
   Trace.t
-(** Runs the configured execution on the sparse plane.
-
-    [power] gives each party's oracle queries per round (default: one
-    each, the paper's model); the win-attribution table weights parties by
-    it. [power_schedule] replaces the whole vector at the given rounds —
-    churn; each change rebuilds the alias table and re-schedules the next
-    win rounds. Entries must be unique rounds within range.
+(** Runs the configured execution on the sparse plane, under the shared
+    round driver ({!Rounds.run}), with one oracle query per party per
+    round: the attribution table has uniform weights and is built once.
 
     [workload] and [round_hook] are the fruitstorm/fruitscope hooks of the
     exact engine; a live [round_hook] forces every round to be visited
@@ -58,5 +52,5 @@ val run :
     byte-identical trace; the determinism suite pins this.
 
     [oracle.queries] reports the {e effective} simulated attempts
-    (Σ budget over rounds), not RNG draws, so fruitscope dumps stay
-    comparable with the exact engine. *)
+    (n × rounds), not RNG draws, so fruitscope dumps stay comparable with
+    the exact engine. *)

@@ -458,8 +458,9 @@ let qcheck_tests =
          (list_of_size Gen.(1 -- 6) (int_bound 9))
          (list_of_size Gen.(1 -- 6) (int_bound 9)))
       (fun (ws1, ws2) ->
-        (* A power change on the sparse plane rebuilds the table from the
-           new vector; the old table is immutable and keeps its law. *)
+        (* Tables are immutable: building one for a new weight vector
+           (per-party power, when it returns through Config) leaves the
+           old table's law intact. *)
         let fix ws =
           let ws = List.map float_of_int ws in
           if List.for_all (fun w -> w = 0.0) ws then [ 1.0 ] else ws
